@@ -42,9 +42,10 @@ type Explain struct {
 // Explain compiles the prepared query's plan against its pinned
 // snapshot without executing it. The render is deterministic: the same
 // plan (same query text, same epoch) explains identically, cached or
-// not. Note the plan is compiled over the full snapshot store — the
-// executed plan runs on the dual-simulation-pruned store, so ANALYZE
-// estimates can differ from the plain EXPLAIN's.
+// not. Note the plan is compiled over the full snapshot store, while
+// an execution with pruning plans over the masked view of the pruned
+// store (the kept triples' statistics), so ANALYZE estimates can differ
+// from the plain EXPLAIN's.
 func (pq *PreparedQuery) Explain(ctx context.Context) (*Explain, error) {
 	if ctx == nil {
 		ctx = context.Background()

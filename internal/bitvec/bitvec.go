@@ -287,22 +287,36 @@ func (v *Vector) Any() int {
 }
 
 // NextSet returns the position of the first set bit at or after i, or -1.
-func (v *Vector) NextSet(i int) int {
+func (v *Vector) NextSet(i int) int { return v.NextSetBefore(i, v.n) }
+
+// NextSetBefore returns the position of the first set bit in [i, end),
+// or -1. It reads only the words overlapping that range, so a cursor
+// over a short run of a long vector stays proportional to the run.
+//
+//dualsim:hotpath
+func (v *Vector) NextSetBefore(i, end int) int {
 	if i < 0 {
 		i = 0
 	}
-	if i >= v.n {
+	if end > v.n {
+		end = v.n
+	}
+	if i >= end {
 		return -1
 	}
 	w := i >> wordLog
 	x := v.words[w] >> uint(i&wordMask)
-	if x != 0 {
-		return i + bits.TrailingZeros64(x)
-	}
-	for w++; w < len(v.words); w++ {
-		if v.words[w] != 0 {
-			return w*wordBits + bits.TrailingZeros64(v.words[w])
+	if x == 0 {
+		last := (end - 1) >> wordLog
+		for w++; w <= last && v.words[w] == 0; w++ {
 		}
+		if w > last {
+			return -1
+		}
+		i, x = w*wordBits, v.words[w]
+	}
+	if j := i + bits.TrailingZeros64(x); j < end {
+		return j
 	}
 	return -1
 }

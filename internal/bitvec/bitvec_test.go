@@ -175,6 +175,33 @@ func TestAnyNextSet(t *testing.T) {
 	}
 }
 
+// TestNextSetBefore compares the bounded search with a bit-by-bit scan
+// on random vectors and ranges, including empty and out-of-range ones.
+func TestNextSetBefore(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 500; trial++ {
+		n := r.Intn(300)
+		v := New(n)
+		density := r.Float64() / 4
+		for i := 0; i < n; i++ {
+			if r.Float64() < density {
+				v.Set(i)
+			}
+		}
+		i, end := r.Intn(n+20)-10, r.Intn(n+20)-10
+		want := -1
+		for j := max(i, 0); j < min(end, n); j++ {
+			if v.Get(j) {
+				want = j
+				break
+			}
+		}
+		if got := v.NextSetBefore(i, end); got != want {
+			t.Fatalf("n=%d NextSetBefore(%d, %d) = %d, want %d (%s)", n, i, end, got, want, v)
+		}
+	}
+}
+
 func TestForEachAndBits(t *testing.T) {
 	positions := []int{0, 1, 64, 65, 190}
 	v := FromBits(191, positions...)

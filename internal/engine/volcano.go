@@ -501,15 +501,14 @@ func (u *unitIter) Next() ([]storage.NodeID, bool, error) {
 }
 
 // scanIter streams the matches of one resolved triple pattern straight
-// from the store's per-predicate indexes — a cursor over the PSO run via
-// PairAt for the unbound case, a posting-list walk when one side is a
-// constant. Nothing is materialized.
+// from the store's per-predicate indexes — a cursor over the predicate's
+// PSO run for the unbound case, over one subject's or object's run when
+// one side is a constant. Nothing is materialized.
 type scanIter struct {
 	st   *storage.Store
 	r    resolved
 	ctx  context.Context
-	i    int // cursor: pair index or posting-list index
-	list []storage.NodeID
+	cur  storage.Cursor
 	done bool
 	n    int // checked rows since last ctx poll
 }
@@ -519,9 +518,8 @@ func (s *scanIter) Close() error   { return nil }
 
 func (s *scanIter) Open(ctx context.Context) error {
 	s.ctx = ctx
-	s.i = 0
 	s.done = false
-	s.list = nil
+	s.cur = storage.Cursor{}
 	if !s.r.ok {
 		s.done = true
 		return nil
@@ -529,9 +527,11 @@ func (s *scanIter) Open(ctx context.Context) error {
 	switch {
 	case s.r.sVar == "" && s.r.oVar == "":
 	case s.r.sVar == "":
-		s.list = s.st.Objects(s.r.pred, s.r.sID)
+		s.cur = s.st.BySubject(s.r.pred, s.r.sID)
 	case s.r.oVar == "":
-		s.list = s.st.Subjects(s.r.pred, s.r.oID)
+		s.cur = s.st.ByObject(s.r.pred, s.r.oID)
+	default:
+		s.cur = s.st.AllPairs(s.r.pred)
 	}
 	return nil
 }
@@ -546,36 +546,30 @@ func (s *scanIter) Next() ([]storage.NodeID, bool, error) {
 		}
 	}
 	r := s.r
-	switch {
-	case r.sVar == "" && r.oVar == "":
+	if r.sVar == "" && r.oVar == "" {
 		s.done = true
 		if s.st.HasTriple(r.sID, r.pred, r.oID) {
 			return []storage.NodeID{}, true, nil
 		}
 		return nil, false, nil
-	case r.sVar == "" || r.oVar == "":
-		if s.i < len(s.list) {
-			v := s.list[s.i]
-			s.i++
-			return []storage.NodeID{v}, true, nil
-		}
-		s.done = true
-		return nil, false, nil
-	default:
-		n := s.st.PredCount(r.pred)
-		for s.i < n {
-			sub, obj := s.st.PairAt(r.pred, s.i)
-			s.i++
-			if r.sVar == r.oVar {
-				if sub != obj {
-					continue
-				}
-				return []storage.NodeID{sub}, true, nil
+	}
+	for {
+		sub, obj, ok := s.cur.Next()
+		switch {
+		case !ok:
+			s.done = true
+			return nil, false, nil
+		case r.sVar == "":
+			return []storage.NodeID{obj}, true, nil
+		case r.oVar == "":
+			return []storage.NodeID{sub}, true, nil
+		case r.sVar == r.oVar:
+			if sub != obj {
+				continue
 			}
-			return []storage.NodeID{sub, obj}, true, nil
+			return []storage.NodeID{sub}, true, nil
 		}
-		s.done = true
-		return nil, false, nil
+		return []storage.NodeID{sub, obj}, true, nil
 	}
 }
 
@@ -598,9 +592,7 @@ type extendIter struct {
 
 	// Cursor over the extensions of the current input row.
 	cur        []storage.NodeID // widened current input row; nil = pull next
-	list       []storage.NodeID // posting list (one side known)
-	li         int
-	pi         int // pair cursor (neither side known)
+	pairs      storage.Cursor   // index run of the pattern's known side(s)
 	sVal, oVal storage.NodeID
 	sKnown     bool
 	oKnown     bool
@@ -671,28 +663,8 @@ func (e *extendIter) Next() ([]storage.NodeID, bool, error) {
 					return row, true, nil
 				}
 				continue
-			case e.sKnown:
-				if e.li < len(e.list) {
-					o := e.list[e.li]
-					e.li++
-					if r.sVar == r.oVar && o != e.sVal {
-						continue
-					}
-					return e.emitExt(e.sVal, o), true, nil
-				}
-			case e.oKnown:
-				if e.li < len(e.list) {
-					s := e.list[e.li]
-					e.li++
-					if r.sVar == r.oVar && s != e.oVal {
-						continue
-					}
-					return e.emitExt(s, e.oVal), true, nil
-				}
 			default:
-				if e.pi < e.st.PredCount(r.pred) {
-					s, o := e.st.PairAt(r.pred, e.pi)
-					e.pi++
+				if s, o, ok := e.pairs.Next(); ok {
 					if r.sVar == r.oVar && s != o {
 						continue
 					}
@@ -727,15 +699,16 @@ func (e *extendIter) Next() ([]storage.NodeID, bool, error) {
 		}
 		e.cur = row
 		e.matched = false
-		e.li, e.pi = 0, 0
 		e.sVal, e.sKnown = constOrBinding(r.sVar, r.sID, row, e.varCol)
 		e.oVal, e.oKnown = constOrBinding(r.oVar, r.oID, row, e.varCol)
 		switch {
 		case e.sKnown && e.oKnown:
 		case e.sKnown:
-			e.list = e.st.Objects(r.pred, e.sVal)
+			e.pairs = e.st.BySubject(r.pred, e.sVal)
 		case e.oKnown:
-			e.list = e.st.Subjects(r.pred, e.oVal)
+			e.pairs = e.st.ByObject(r.pred, e.oVal)
+		default:
+			e.pairs = e.st.AllPairs(r.pred)
 		}
 	}
 }

@@ -2,8 +2,10 @@
 // per-query database pruning by dual simulation. The largest solution of
 // the query's system of inequalities marks, per pattern edge (v, a, w),
 // the a-triples whose endpoints lie in χS(v) × χS(w); every other triple
-// is disqualified for the query and removed before handing the database to
-// a query engine.
+// is disqualified for the query. The session hands the query engine a
+// masked view of the store that skips disqualified triples in place
+// (Pruning.View); Pruning.Store materializes the pruned database as a
+// store of its own.
 //
 // Soundness (Theorem 2): every variable binding of every SPARQL match is
 // contained in the largest solution, so no match's triples are pruned.
@@ -13,7 +15,8 @@
 // mappings may differ on the pruned store — pruning may remove
 // cross-product filter structure that blocked an optional join — while
 // the mandatory cores of all mappings are preserved (also
-// property-tested; see TestNonWellDesignedPromotionNuance).
+// property-tested; see TestNonWellDesignedPromotionNuance), which is why
+// the session pipeline prunes well-designed queries only.
 package prune
 
 import (
@@ -35,7 +38,8 @@ type Pruning struct {
 	// Total is the store size before pruning.
 	Total int
 
-	store *storage.Store
+	posMasks []*bitvec.Vector // Masks by POS position, for View
+	store    *storage.Store
 }
 
 // Ratio returns the pruned fraction (1 = everything removed), the
@@ -53,6 +57,13 @@ func (p *Pruning) Store() *storage.Store {
 	return p.store.RestrictByMask(p.Masks)
 }
 
+// View returns the pruned database as a masked view of the store (see
+// storage.Store.View): the same triples and statistics as Store, read
+// in place through the masks instead of copied.
+func (p *Pruning) View() *storage.Store {
+	return p.store.View(p.Masks, p.posMasks)
+}
+
 // tripleCheckInterval is the number of triples the mask scan visits
 // between two context-cancellation checks.
 const tripleCheckInterval = 1 << 16
@@ -67,11 +78,11 @@ func Prune(st *storage.Store, rel *core.QueryRelation) *Pruning {
 // ctx every tripleCheckInterval triples and returns (nil, ctx.Err()).
 func PruneCtx(ctx context.Context, st *storage.Store, rel *core.QueryRelation) (*Pruning, error) {
 	out := &Pruning{
-		Masks: make([]*bitvec.Vector, st.NumPreds()),
-		Total: st.NumTriples(),
-		store: st,
+		Masks:    make([]*bitvec.Vector, st.NumPreds()),
+		posMasks: make([]*bitvec.Vector, st.NumPreds()),
+		Total:    st.NumTriples(),
+		store:    st,
 	}
-	sinceCheck := 0
 	for _, bs := range rel.Branches {
 		if bs.MandatoryEmpty {
 			// Theorem 1: no match exists in this branch; it retains
@@ -88,22 +99,17 @@ func PruneCtx(ctx context.Context, st *storage.Store, rel *core.QueryRelation) (
 			if chiS.IsEmpty() || chiO.IsEmpty() {
 				continue
 			}
-			mask := out.Masks[pid]
-			if mask == nil {
-				mask = bitvec.New(st.PredCount(pid))
-				out.Masks[pid] = mask
+			n := st.PredCount(pid)
+			if out.Masks[pid] == nil {
+				out.Masks[pid] = bitvec.New(n)
+				out.posMasks[pid] = bitvec.New(n)
 			}
-			for i := 0; i < st.PredCount(pid); i++ {
-				if sinceCheck++; sinceCheck >= tripleCheckInterval {
-					sinceCheck = 0
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
+			for lo := 0; lo < n; lo += tripleCheckInterval {
+				if err := ctx.Err(); err != nil {
+					return nil, err
 				}
-				s, o := st.PairAt(pid, i)
-				if chiS.Get(int(s)) && chiO.Get(int(o)) {
-					mask.Set(i)
-				}
+				hi := min(lo+tripleCheckInterval, n)
+				st.MarkPairs(pid, chiS, chiO, out.Masks[pid], out.posMasks[pid], lo, hi)
 			}
 		}
 	}

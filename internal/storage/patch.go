@@ -76,7 +76,7 @@ type predChange struct {
 // respect to the shared dictionary, but the caller is responsible for
 // ordering them (the delta overlay serializes).
 func (st *Store) Patch(adds, dels []rdf.Triple) (*Store, PatchStats, error) {
-	st.mustBeBuilt()
+	st.mustBeUnmasked("Patch")
 	var stats PatchStats
 	if err := ValidateBatch(adds, dels); err != nil {
 		return nil, stats, err

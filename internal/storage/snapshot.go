@@ -37,7 +37,7 @@ const (
 
 // EncodeSnapshot writes the store body to w. The store must be built.
 func (st *Store) EncodeSnapshot(w io.Writer) error {
-	st.mustBeBuilt()
+	st.mustBeUnmasked("EncodeSnapshot")
 	bw := bufio.NewWriterSize(w, 1<<16)
 	var scratch [binary.MaxVarintLen64]byte
 	putUvarint := func(v uint64) {

@@ -14,7 +14,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"dualsim/internal/bitmat"
@@ -38,6 +37,20 @@ type predIndex struct {
 	pos       []pair // sorted by (object, subject)
 	distinctS int
 	distinctO int
+
+	// keep and keepPOS mark, by PSO and by POS position, the triples a
+	// masked view (see View) retains of a partially kept predicate, and
+	// kept counts them. Both are nil when every position is kept.
+	keep, keepPOS *bitvec.Vector
+	kept          int
+}
+
+// count returns the number of triples the index holds.
+func (ix *predIndex) count() int {
+	if ix.keep == nil {
+		return len(ix.pso)
+	}
+	return ix.kept
 }
 
 // dict is the shared, append-only term and predicate dictionary of a
@@ -114,9 +127,9 @@ func (d *dict) views() ([]rdf.Term, []string) {
 }
 
 // Store is an immutable-after-Build triple store snapshot. The zero
-// value is not usable; call New. Snapshots derived via Restrict or Patch
-// share the receiver's dictionary (see dict); the snapshot itself never
-// changes after Build, so concurrent readers need no locking.
+// value is not usable; call New. Snapshots derived via Restrict, Patch or
+// View share the receiver's dictionary (see dict); the snapshot itself
+// never changes after Build, so concurrent readers need no locking.
 type Store struct {
 	d     *dict
 	terms []rdf.Term // prefix view of d.terms visible to this snapshot
@@ -125,6 +138,7 @@ type Store struct {
 	byPred []predIndex
 	nTrip  int
 	built  bool
+	masked bool // a View with at least one partially kept predicate
 
 	matMu sync.Mutex
 	mats  map[PredID]bitmat.Pair
@@ -262,6 +276,16 @@ func (st *Store) mustBeBuilt() {
 	}
 }
 
+// mustBeUnmasked guards the operations that address triples by index
+// position or copy the index arrays: a masked view shares its parent's
+// positions, which are not the positions of the store it represents.
+func (st *Store) mustBeUnmasked(op string) {
+	st.mustBeBuilt()
+	if st.masked {
+		panic("storage: " + op + " on a masked view")
+	}
+}
+
 // NumTriples returns |E_DB| (after deduplication).
 func (st *Store) NumTriples() int { st.mustBeBuilt(); return st.nTrip }
 
@@ -301,7 +325,7 @@ func (st *Store) PredIDOf(p string) (PredID, bool) {
 // PredCount returns the number of p-triples.
 func (st *Store) PredCount(p PredID) int {
 	st.mustBeBuilt()
-	return len(st.byPred[p].pso)
+	return st.byPred[p].count()
 }
 
 // DistinctSubjects returns the number of distinct subjects under p.
@@ -316,21 +340,119 @@ func (st *Store) DistinctObjects(p PredID) int {
 	return st.byPred[p].distinctO
 }
 
-// lookup returns the sub-slice of ps whose first component equals key.
-func lookup(ps []pair, key NodeID) []pair {
-	lo := sort.Search(len(ps), func(i int) bool { return ps[i].a >= key })
-	hi := sort.Search(len(ps), func(i int) bool { return ps[i].a > key })
-	return ps[lo:hi]
+// span returns the bounds [lo, hi) of the run of ps whose first
+// component equals key.
+func span(ps []pair, key NodeID) (lo, hi int) {
+	lo, hi = 0, len(ps)
+	for lo < hi { // first position with a >= key
+		m := int(uint(lo+hi) >> 1)
+		if ps[m].a < key {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	hi = len(ps)
+	for l := lo; l < hi; { // first position with a > key
+		m := int(uint(l+hi) >> 1)
+		if ps[m].a <= key {
+			l = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, hi
+}
+
+// find returns the position of (a, b) in ps, or -1.
+func find(ps []pair, a, b NodeID) int {
+	lo, hi := 0, len(ps)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if e := ps[m]; e.a < a || (e.a == a && e.b < b) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(ps) && ps[lo] == (pair{a, b}) {
+		return lo
+	}
+	return -1
+}
+
+// Cursor walks one run of a predicate's index in place — the pairs of
+// one subject, of one object, or all of them — skipping the positions a
+// masked view does not keep. It copies nothing. The zero Cursor is
+// exhausted.
+type Cursor struct {
+	ps    []pair
+	keep  *bitvec.Vector // nil: every position in [i, hi) is kept
+	i, hi int
+	pos   bool // ps is in POS order: yield its pairs swapped
+}
+
+// Next returns the next (subject, object) pair, or ok == false once the
+// run is exhausted.
+//
+//dualsim:hotpath
+func (c *Cursor) Next() (s, o NodeID, ok bool) {
+	i := c.i
+	if c.keep != nil {
+		if i = c.keep.NextSetBefore(i, c.hi); i < 0 {
+			i = c.hi
+		}
+	}
+	if i >= c.hi {
+		c.i = c.hi
+		return 0, 0, false
+	}
+	c.i = i + 1
+	e := c.ps[i]
+	if c.pos {
+		return e.b, e.a, true
+	}
+	return e.a, e.b, true
+}
+
+// BySubject returns a cursor over the p-triples with subject s, in
+// ascending object order — the forward map F_p(s), read in place.
+//
+//dualsim:hotpath
+func (st *Store) BySubject(p PredID, s NodeID) Cursor {
+	st.mustBeBuilt()
+	ix := &st.byPred[p]
+	lo, hi := span(ix.pso, s)
+	return Cursor{ps: ix.pso, keep: ix.keep, i: lo, hi: hi}
+}
+
+// ByObject returns a cursor over the p-triples with object o, in
+// ascending subject order — the backward map B_p(o), read in place.
+//
+//dualsim:hotpath
+func (st *Store) ByObject(p PredID, o NodeID) Cursor {
+	st.mustBeBuilt()
+	ix := &st.byPred[p]
+	lo, hi := span(ix.pos, o)
+	return Cursor{ps: ix.pos, keep: ix.keepPOS, i: lo, hi: hi, pos: true}
+}
+
+// AllPairs returns a cursor over every p-triple in PSO order.
+//
+//dualsim:hotpath
+func (st *Store) AllPairs(p PredID) Cursor {
+	st.mustBeBuilt()
+	ix := &st.byPred[p]
+	return Cursor{ps: ix.pso, keep: ix.keep, hi: len(ix.pso)}
 }
 
 // Objects returns the sorted objects o with (s, p, o) ∈ E_DB — the forward
 // map F_p(s).
 func (st *Store) Objects(p PredID, s NodeID) []NodeID {
-	st.mustBeBuilt()
-	sub := lookup(st.byPred[p].pso, s)
-	out := make([]NodeID, len(sub))
-	for i, e := range sub {
-		out[i] = e.b
+	c := st.BySubject(p, s)
+	out := make([]NodeID, 0, c.hi-c.i)
+	for _, o, ok := c.Next(); ok; _, o, ok = c.Next() {
+		out = append(out, o)
 	}
 	return out
 }
@@ -338,11 +460,10 @@ func (st *Store) Objects(p PredID, s NodeID) []NodeID {
 // Subjects returns the sorted subjects s with (s, p, o) ∈ E_DB — the
 // backward map B_p(o).
 func (st *Store) Subjects(p PredID, o NodeID) []NodeID {
-	st.mustBeBuilt()
-	sub := lookup(st.byPred[p].pos, o)
-	out := make([]NodeID, len(sub))
-	for i, e := range sub {
-		out[i] = e.b
+	c := st.ByObject(p, o)
+	out := make([]NodeID, 0, c.hi-c.i)
+	for s, _, ok := c.Next(); ok; s, _, ok = c.Next() {
+		out = append(out, s)
 	}
 	return out
 }
@@ -350,17 +471,17 @@ func (st *Store) Subjects(p PredID, o NodeID) []NodeID {
 // HasTriple reports whether (s, p, o) ∈ E_DB.
 func (st *Store) HasTriple(s NodeID, p PredID, o NodeID) bool {
 	st.mustBeBuilt()
-	sub := lookup(st.byPred[p].pso, s)
-	i := sort.Search(len(sub), func(i int) bool { return sub[i].b >= o })
-	return i < len(sub) && sub[i].b == o
+	ix := &st.byPred[p]
+	i := find(ix.pso, s, o)
+	return i >= 0 && (ix.keep == nil || ix.keep.Get(i))
 }
 
 // ForEachPair calls fn for every (s, o) pair of predicate p in PSO order;
 // stops early if fn returns false.
 func (st *Store) ForEachPair(p PredID, fn func(s, o NodeID) bool) {
-	st.mustBeBuilt()
-	for _, e := range st.byPred[p].pso {
-		if !fn(e.a, e.b) {
+	c := st.AllPairs(p)
+	for s, o, ok := c.Next(); ok; s, o, ok = c.Next() {
+		if !fn(s, o) {
 			return
 		}
 	}
@@ -371,8 +492,9 @@ func (st *Store) ForEachPair(p PredID, fn func(s, o NodeID) bool) {
 func (st *Store) ForEachTriple(fn func(s NodeID, p PredID, o NodeID) bool) {
 	st.mustBeBuilt()
 	for p := range st.byPred {
-		for _, e := range st.byPred[p].pso {
-			if !fn(e.a, PredID(p), e.b) {
+		c := st.AllPairs(PredID(p))
+		for s, o, ok := c.Next(); ok; s, o, ok = c.Next() {
+			if !fn(s, PredID(p), o) {
 				return
 			}
 		}
@@ -401,9 +523,10 @@ func (st *Store) Matrices(p PredID) bitmat.Pair {
 	if m, ok := st.mats[p]; ok {
 		return m
 	}
-	cells := make([]bitmat.Cell, len(st.byPred[p].pso))
-	for i, e := range st.byPred[p].pso {
-		cells[i] = bitmat.Cell{Row: e.a, Col: e.b}
+	cells := make([]bitmat.Cell, 0, st.byPred[p].count())
+	c := st.AllPairs(p)
+	for s, o, ok := c.Next(); ok; s, o, ok = c.Next() {
+		cells = append(cells, bitmat.Cell{Row: s, Col: o})
 	}
 	m := bitmat.NewPair(st.NumNodes(), cells)
 	st.mats[p] = m
@@ -416,7 +539,7 @@ func (st *Store) Matrices(p PredID) bitmat.Pair {
 // store compare directly with ones from the original — this is how the
 // pruned database of the paper's Sect. 5 is represented.
 func (st *Store) Restrict(keep func(s NodeID, p PredID, o NodeID) bool) *Store {
-	st.mustBeBuilt()
+	st.mustBeUnmasked("Restrict")
 	out := &Store{
 		d:     st.d,
 		terms: st.terms,
@@ -451,7 +574,7 @@ func (st *Store) Restrict(keep func(s NodeID, p PredID, o NodeID) bool) *Store {
 // PairAt returns the i-th (subject, object) pair of predicate p in PSO
 // order; 0 ≤ i < PredCount(p).
 func (st *Store) PairAt(p PredID, i int) (NodeID, NodeID) {
-	st.mustBeBuilt()
+	st.mustBeUnmasked("PairAt")
 	e := st.byPred[p].pso[i]
 	return e.a, e.b
 }
@@ -460,22 +583,15 @@ func (st *Store) PairAt(p PredID, i int) (NodeID, NodeID) {
 // position is stable for the lifetime of the store and is used to address
 // triples in pruning masks.
 func (st *Store) FindPair(p PredID, s, o NodeID) int {
-	st.mustBeBuilt()
-	ps := st.byPred[p].pso
-	lo := sort.Search(len(ps), func(i int) bool {
-		return ps[i].a > s || (ps[i].a == s && ps[i].b >= o)
-	})
-	if lo < len(ps) && ps[lo].a == s && ps[lo].b == o {
-		return lo
-	}
-	return -1
+	st.mustBeUnmasked("FindPair")
+	return find(st.byPred[p].pso, s, o)
 }
 
 // RestrictByMask builds a restricted store (shared dictionaries, cf.
 // Restrict) keeping exactly the triples whose PSO position is set in the
 // predicate's mask. A nil mask drops the whole predicate.
 func (st *Store) RestrictByMask(masks []*bitvec.Vector) *Store {
-	st.mustBeBuilt()
+	st.mustBeUnmasked("RestrictByMask")
 	out := &Store{
 		d:     st.d,
 		terms: st.terms,
@@ -507,6 +623,102 @@ func (st *Store) RestrictByMask(masks []*bitvec.Vector) *Store {
 	}
 	out.built = true
 	return out
+}
+
+// MarkPairs marks the p-triples (s, p, o) with s ∈ subj and o ∈ obj:
+// those at PSO positions [lo, hi) in pso, and those at POS positions
+// [lo, hi) in pos. Both masks have PredCount(p) bits; marking every
+// range of [0, PredCount(p)) yields the mask pair View takes. The run of
+// a subject not in subj (an object not in obj) is skipped whole.
+func (st *Store) MarkPairs(p PredID, subj, obj, pso, pos *bitvec.Vector, lo, hi int) {
+	st.mustBeUnmasked("MarkPairs")
+	ix := &st.byPred[p]
+	markRuns(ix.pso[lo:hi], lo, subj, obj, pso)
+	markRuns(ix.pos[lo:hi], lo, obj, subj, pos)
+}
+
+// markRuns sets base+i in dst for every ps[i] = (a, b) with a ∈ first
+// and b ∈ second.
+func markRuns(ps []pair, base int, first, second, dst *bitvec.Vector) {
+	fw, sw := first.Words(), second.Words()
+	for i := 0; i < len(ps); {
+		a := ps[i].a
+		if fw[a>>6]&(1<<(a&63)) == 0 {
+			for i++; i < len(ps) && ps[i].a == a; i++ {
+			}
+			continue
+		}
+		for ; i < len(ps) && ps[i].a == a; i++ {
+			if b := ps[i].b; sw[b>>6]&(1<<(b&63)) != 0 {
+				dst.Set(base + i)
+			}
+		}
+	}
+}
+
+// View returns a masked view of st: a store that shares st's
+// dictionaries and index arrays and holds exactly the triples whose PSO
+// position is set in the predicate's pso mask — the triples
+// RestrictByMask(pso) would copy. pos[p] must mark the same triples by
+// POS position (MarkPairs fills both). A nil pso mask drops the
+// predicate. The view's statistics are those of the kept triples, so a
+// planner sees the same counts as on the restricted store; reads walk
+// the shared indexes and skip unkept positions. Building it copies no
+// triple.
+func (st *Store) View(pso, pos []*bitvec.Vector) *Store {
+	st.mustBeUnmasked("View")
+	out := &Store{
+		d:      st.d,
+		terms:  st.terms,
+		preds:  st.preds,
+		byPred: make([]predIndex, len(st.byPred)),
+		built:  true,
+		mats:   make(map[PredID]bitmat.Pair),
+	}
+	for p := range st.byPred {
+		if p >= len(pso) || pso[p] == nil {
+			continue
+		}
+		ix := &st.byPred[p]
+		keep, keepPOS := pso[p], pos[p]
+		if keep.Len() != len(ix.pso) || keepPOS == nil || keepPOS.Len() != len(ix.pos) {
+			panic("storage: View masks do not match the store's indexes")
+		}
+		n := keep.Count()
+		switch n {
+		case 0:
+			continue
+		case len(ix.pso):
+			out.byPred[p] = *ix
+		default:
+			out.byPred[p] = predIndex{
+				pso:       ix.pso,
+				pos:       ix.pos,
+				distinctS: countDistinctKept(ix.pso, keep),
+				distinctO: countDistinctKept(ix.pos, keepPOS),
+				keep:      keep,
+				keepPOS:   keepPOS,
+				kept:      n,
+			}
+			out.masked = true
+		}
+		out.nTrip += n
+	}
+	return out
+}
+
+// countDistinctKept is countDistinctFirst over the positions set in keep.
+func countDistinctKept(ps []pair, keep *bitvec.Vector) int {
+	n := 0
+	var last NodeID
+	keep.ForEach(func(i int) bool {
+		if a := ps[i].a; n == 0 || a != last {
+			n++
+			last = a
+		}
+		return true
+	})
+	return n
 }
 
 // FromTriples is a convenience constructor: stage, build, return.

@@ -65,8 +65,9 @@ type execState struct {
 
 // releaseRelation returns the solved relation's χ storage to the plan's
 // per-system solver pools once an execution is over. No stage output
-// retains the vectors: the pruned store is materialized by PruneStage and
-// ExecStats carries scalars only.
+// retains the vectors: the masked view PruneStage hands the engine holds
+// the per-predicate triple masks, not χ, and ExecStats carries scalars
+// only.
 func (x *execState) releaseRelation() {
 	if x.rel != nil {
 		x.rel.Release()
@@ -83,11 +84,13 @@ func FingerprintStage() Stage {
 	return Stage{name: "fingerprint", run: func(ctx context.Context, x *execState, ss *StageStats) error {
 		n := x.pq.snap.st.NumNodes()
 		ss.In, ss.Out = n, n
-		// Nothing to install, or the solve already ran (a WithStages
-		// composition placed this stage after the pruning stage): the
-		// pre-filter can constrain nothing — report it skipped rather
-		// than advertise a bound that was never applied.
-		if x.pq.restrict == nil || x.rel != nil {
+		// Nothing to install, the solve already ran (a WithStages
+		// composition placed this stage after the pruning stage), or the
+		// pruning stage will skip the solve (the query is not
+		// well-designed): the pre-filter can constrain nothing — report
+		// it skipped rather than advertise a bound that was never
+		// applied.
+		if x.pq.restrict == nil || x.rel != nil || !x.pq.wellDesigned {
 			ss.Skipped = true
 			return nil
 		}
@@ -99,11 +102,19 @@ func FingerprintStage() Stage {
 
 // PruneStage returns the dual-simulation stage: solve the prepared
 // system of inequalities (from the fingerprint-tightened bounds when
-// present), mark the certified triples and materialize the pruned store
-// for the downstream engine.
+// present), mark the certified triples and hand the downstream engine a
+// masked view of the snapshot store that reads its indexes in place and
+// skips every uncertified triple. Pruning preserves the answers of
+// well-designed queries only (Theorem 2); for any other query the stage
+// reports itself skipped and the engine evaluates the full snapshot.
 func PruneStage() Stage {
 	return Stage{name: "prune", run: func(ctx context.Context, x *execState, ss *StageStats) error {
 		pq := x.pq
+		if !pq.wellDesigned {
+			n := pq.snap.st.NumTriples()
+			ss.In, ss.Out, ss.Skipped = n, n, true
+			return nil
+		}
 		rel, err := pq.plan.SolveRestricted(ctx, pq.db.set.coreConfig(), x.restrict)
 		if err != nil {
 			return err
@@ -121,7 +132,7 @@ func PruneStage() Stage {
 		}
 		x.stats.TriplesAfter = p.Kept
 		ss.In, ss.Out = p.Total, p.Kept
-		x.target = p.Store()
+		x.target = p.View()
 		return nil
 	}}
 }
@@ -225,7 +236,8 @@ type StageStats struct {
 	In  int `json:"in"`
 	Out int `json:"out"`
 	// Skipped reports that the stage had nothing to do (e.g. the
-	// fingerprint stage on a session without a fingerprint).
+	// fingerprint stage on a session without a fingerprint, or the
+	// pruning stage on a query that is not well-designed).
 	Skipped bool `json:"skipped,omitempty"`
 }
 

@@ -15,6 +15,7 @@ import (
 	"dualsim/internal/partition"
 	"dualsim/internal/persist"
 	"dualsim/internal/prune"
+	"dualsim/internal/sparql"
 	"dualsim/internal/stats"
 	"dualsim/internal/trace"
 )
@@ -309,15 +310,16 @@ type PrepareStats struct {
 // Query/ExecBatch, whose epoch-keyed plan cache re-plans on the first
 // request after an update.
 type PreparedQuery struct {
-	db         *DB
-	snap       *dbSnapshot // pinned store + epoch + fingerprint
-	q          *Query
-	plan       *core.QueryPlan
-	stages     []Stage
-	restrict   [][]*bitvec.Vector // per branch, indexed like Branch.Vars; nil when nothing restricted
-	fpTightest int                // smallest lifted candidate-set size (fingerprint stage's Out)
-	fprint     stats.Fingerprint  // normalized statement identity, computed once at Prepare
-	prep       PrepareStats
+	db           *DB
+	snap         *dbSnapshot // pinned store + epoch + fingerprint
+	q            *Query
+	plan         *core.QueryPlan
+	stages       []Stage
+	restrict     [][]*bitvec.Vector // per branch, indexed like Branch.Vars; nil when nothing restricted
+	fpTightest   int                // smallest lifted candidate-set size (fingerprint stage's Out)
+	fprint       stats.Fingerprint  // normalized statement identity, computed once at Prepare
+	wellDesigned bool               // sparql.IsWellDesigned(q): pruning preserves its answers
+	prep         PrepareStats
 }
 
 // Fingerprint returns the query's normalized statement fingerprint: the
@@ -368,7 +370,8 @@ func (db *DB) prepareParsed(snap *dbSnapshot, q *Query, start time.Time, parse t
 	}
 	plan.Finalize()
 
-	pq := &PreparedQuery{db: db, snap: snap, q: q, plan: plan, stages: db.stagesFor(snap), fprint: stats.Of(q)}
+	pq := &PreparedQuery{db: db, snap: snap, q: q, plan: plan, stages: db.stagesFor(snap), fprint: stats.Of(q),
+		wellDesigned: sparql.IsWellDesigned(q.Expr)}
 	pq.prep.Branches = len(plan.Branches)
 	for _, br := range plan.Branches {
 		pq.prep.Variables += br.Sys.NumVars()
@@ -442,7 +445,7 @@ func (pq *PreparedQuery) Exec(ctx context.Context) (*Result, *ExecStats, error) 
 	}
 	x := &execState{pq: pq, stats: stats}
 	// The solved relation's χ rows live in the plan's solver pool; once
-	// the pipeline is done with them (the pruned store is materialized,
+	// the pipeline is done with them (the masked view holds triple masks,
 	// only scalar stats escape) they are recycled for the next Exec.
 	defer x.releaseRelation()
 	// parent is nil unless the request installed a trace span in ctx —

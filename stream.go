@@ -95,8 +95,8 @@ func (pq *PreparedQuery) Stream(ctx context.Context) (*Rows, error) {
 			return nil, err
 		}
 	}
-	// The pruned store is materialized; the solver's χ rows can go back
-	// to the pool before the caller starts iterating.
+	// The masked view holds the triple masks, not χ; the solver's χ rows
+	// can go back to the pool before the caller starts iterating.
 	x.releaseRelation()
 	target := x.target
 	if target == nil {
