@@ -31,12 +31,15 @@ func (r *replayIter) Next() ([]storage.NodeID, bool, error) {
 }
 
 // TestExtendAllocatesOnlyRows guards the in-place index cursors: an
-// extend over a subject-bound and an object-bound pattern allocates the
-// widened input row and each emitted row, and nothing per lookup — on a
-// plain store and on a masked view alike.
+// extend over a subject-bound and an object-bound pattern allocates at
+// most one widened input row and one emitted row each, and nothing per
+// lookup — on a plain store and on a masked view alike. Rows come from
+// slab chunks, so a stream longer than one slab allocates fewer times
+// than it emits rows.
 func TestExtendAllocatesOnlyRows(t *testing.T) {
 	var ts []rdf.Triple
-	for s := 0; s < 12; s++ {
+	const numSubjects = 40
+	for s := 0; s < numSubjects; s++ {
 		for o := 0; o < 5; o++ {
 			ts = append(ts, rdf.T(fmt.Sprintf("s%d", s), "p", fmt.Sprintf("o%d", (s+o)%9)))
 		}
@@ -58,7 +61,7 @@ func TestExtendAllocatesOnlyRows(t *testing.T) {
 	}
 
 	var subjects, objects [][]storage.NodeID
-	for i := 0; i < 12; i++ {
+	for i := 0; i < numSubjects; i++ {
 		id, _ := st.TermID(rdf.NewIRI(fmt.Sprintf("s%d", i)))
 		subjects = append(subjects, []storage.NodeID{id})
 	}
@@ -108,6 +111,10 @@ func TestExtendAllocatesOnlyRows(t *testing.T) {
 			if rows := float64(len(c.in) + emitted); allocs > rows {
 				t.Errorf("%s/%s: %.0f allocations for %d input and %d emitted rows; want at most %.0f",
 					target.name, c.name, allocs, len(c.in), emitted, rows)
+			}
+			if len(c.in)+emitted > slabRows && allocs >= float64(emitted) {
+				t.Errorf("%s/%s: %.0f allocations for %d emitted rows; slab rows should need fewer",
+					target.name, c.name, allocs, emitted)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"dualsim/internal/sparql"
@@ -135,11 +136,9 @@ func indexNLBGP(ctx context.Context, st *storage.Store, b sparql.BGP) (*Result, 
 
 	// Index nested loop over the chosen order.
 	varOrder := make([]string, 0, len(bound))
-	varCol := make(map[string]int)
 	for _, r := range order {
 		for _, v := range r.vars() {
-			if _, ok := varCol[v]; !ok {
-				varCol[v] = len(varOrder)
+			if !slices.Contains(varOrder, v) {
 				varOrder = append(varOrder, v)
 			}
 		}
@@ -153,6 +152,7 @@ func indexNLBGP(ctx context.Context, st *storage.Store, b sparql.BGP) (*Result, 
 		if !r.ok {
 			return out, nil
 		}
+		sCol, oCol := r.cols(varOrder)
 		var next [][]storage.NodeID
 		for i, row := range current {
 			if i%rowCheckInterval == 0 {
@@ -160,7 +160,7 @@ func indexNLBGP(ctx context.Context, st *storage.Store, b sparql.BGP) (*Result, 
 					return nil, err
 				}
 			}
-			extendRow(st, r, row, varCol, func(nr []storage.NodeID) {
+			extendRow(st, r, sCol, oCol, row, func(nr []storage.NodeID) {
 				next = append(next, nr)
 			})
 		}
@@ -183,19 +183,20 @@ func sharesBound(r resolved, bound map[string]bool) bool {
 	return false
 }
 
-// extendRow enumerates the extensions of a partial row by pattern r using
-// the cheapest applicable index access path.
-func extendRow(st *storage.Store, r resolved, row []storage.NodeID, varCol map[string]int, emit func([]storage.NodeID)) {
-	sVal, sKnown := constOrBinding(r.sVar, r.sID, row, varCol)
-	oVal, oKnown := constOrBinding(r.oVar, r.oID, row, varCol)
+// extendRow enumerates the extensions of a partial row by pattern r, whose
+// subject and object sit at columns sCol and oCol (-1 for a constant),
+// using the cheapest applicable index access path.
+func extendRow(st *storage.Store, r resolved, sCol, oCol int, row []storage.NodeID, emit func([]storage.NodeID)) {
+	sVal, sKnown := known(row, sCol, r.sID)
+	oVal, oKnown := known(row, oCol, r.oID)
 
 	push := func(s, o storage.NodeID) {
 		nr := append([]storage.NodeID(nil), row...)
-		if r.sVar != "" {
-			nr[varCol[r.sVar]] = s
+		if sCol >= 0 {
+			nr[sCol] = s
 		}
-		if r.oVar != "" {
-			nr[varCol[r.oVar]] = o
+		if oCol >= 0 {
+			nr[oCol] = o
 		}
 		emit(nr)
 	}
@@ -230,14 +231,14 @@ func extendRow(st *storage.Store, r resolved, row []storage.NodeID, varCol map[s
 	}
 }
 
-func constOrBinding(v string, constID storage.NodeID, row []storage.NodeID, varCol map[string]int) (storage.NodeID, bool) {
-	if v == "" {
-		return constID, true
+// known returns a pattern side's value in row: the constant c when col
+// is -1, else the column's binding if it is bound.
+func known(row []storage.NodeID, col int, c storage.NodeID) (storage.NodeID, bool) {
+	if col < 0 {
+		return c, true
 	}
-	if val := row[varCol[v]]; val != Unbound {
-		return val, true
-	}
-	return 0, false
+	v := row[col]
+	return v, v != Unbound
 }
 
 // ---------------------------------------------------------------------------
@@ -283,9 +284,9 @@ func referenceBGP(ctx context.Context, st *storage.Store, b sparql.BGP) (*Result
 		}
 	}
 	out := NewResult(vars...)
-	col := make(map[string]int, len(vars))
-	for i, v := range vars {
-		col[v] = i
+	sCols, oCols := make([]int, len(rs)), make([]int, len(rs))
+	for i, r := range rs {
+		sCols[i], oCols[i] = r.cols(vars)
 	}
 
 	// Enumerate every total assignment vars → O_DB and keep those whose
@@ -300,12 +301,12 @@ func referenceBGP(ctx context.Context, st *storage.Store, b sparql.BGP) (*Result
 					return err
 				}
 			}
-			for _, r := range rs {
+			for k, r := range rs {
 				if !r.ok {
 					return nil
 				}
-				s, _ := constOrBinding(r.sVar, r.sID, assign, col)
-				o, _ := constOrBinding(r.oVar, r.oID, assign, col)
+				s, _ := known(assign, sCols[k], r.sID)
+				o, _ := known(assign, oCols[k], r.oID)
 				if !st.HasTriple(s, r.pred, o) {
 					return nil
 				}

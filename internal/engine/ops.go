@@ -70,40 +70,17 @@ func evalExpr(ctx context.Context, st *storage.Store, e sparql.Expr, bgp func(co
 // survive unextended.
 func join(ctx context.Context, l, r *Result, leftOuter bool) (*Result, error) {
 	shared := sharedVars(l, r)
-	outVars := unionVars(l, r)
-	out := NewResult(outVars...)
-
+	out := NewResult(unionVars(l, r)...)
 	lIdx := varIndexes(l, shared)
 	rIdx := varIndexes(r, shared)
+	rMap := varIndexes(out, r.Vars)
 
-	// Hash r rows whose shared variables are all bound; rows with unbound
-	// shared variables are compatibility wildcards and go to a scan list.
-	buckets := make(map[string][]int, len(r.Rows))
-	var wildcards []int
-	for i, row := range r.Rows {
-		if allBound(row, rIdx) {
-			buckets[keyOf(row, rIdx)] = append(buckets[keyOf(row, rIdx)], i)
-		} else {
-			wildcards = append(wildcards, i)
-		}
+	idx := newJoinIndex(rIdx)
+	for _, row := range r.Rows {
+		idx.add(row)
 	}
-
 	emit := func(lrow, rrow []storage.NodeID) {
-		merged := make([]storage.NodeID, len(outVars))
-		for k := range merged {
-			merged[k] = Unbound
-		}
-		for j, v := range lrow {
-			merged[j] = v // l's vars are a prefix of outVars
-		}
-		for j, v := range rrow {
-			if v == Unbound {
-				continue
-			}
-			oj := rTargetIndex(outVars, r.Vars[j])
-			merged[oj] = v
-		}
-		out.Rows = append(out.Rows, merged)
+		out.Rows = append(out.Rows, mergeRows(make([]storage.NodeID, len(out.Vars)), lrow, rrow, rMap))
 	}
 
 	for li, lrow := range l.Rows {
@@ -114,34 +91,28 @@ func join(ctx context.Context, l, r *Result, leftOuter bool) (*Result, error) {
 		}
 		matched := false
 		if allBound(lrow, lIdx) {
-			for _, ri := range buckets[keyOf(lrow, lIdx)] {
-				if compatible(l, r, lrow, r.Rows[ri], shared) {
-					emit(lrow, r.Rows[ri])
-					matched = true
-				}
+			// A chained row agrees with lrow on every shared variable.
+			for ri := idx.lookup(lrow, lIdx); ri >= 0; ri = idx.next[ri] {
+				emit(lrow, r.Rows[ri])
+				matched = true
 			}
-			for _, ri := range wildcards {
-				if compatible(l, r, lrow, r.Rows[ri], shared) {
+			for _, ri := range idx.wildcards {
+				if compatible(lrow, r.Rows[ri], lIdx, rIdx) {
 					emit(lrow, r.Rows[ri])
 					matched = true
 				}
 			}
 		} else {
 			// l row itself has unbound shared vars: scan everything.
-			for ri := range r.Rows {
-				if compatible(l, r, lrow, r.Rows[ri], shared) {
-					emit(lrow, r.Rows[ri])
+			for _, rrow := range r.Rows {
+				if compatible(lrow, rrow, lIdx, rIdx) {
+					emit(lrow, rrow)
 					matched = true
 				}
 			}
 		}
 		if leftOuter && !matched {
-			merged := make([]storage.NodeID, len(outVars))
-			for k := range merged {
-				merged[k] = Unbound
-			}
-			copy(merged, lrow)
-			out.Rows = append(out.Rows, merged)
+			emit(lrow, nil)
 		}
 	}
 	out.Dedup()
@@ -195,20 +166,11 @@ func allBound(row []storage.NodeID, idx []int) bool {
 	return true
 }
 
-func keyOf(row []storage.NodeID, idx []int) string {
-	key := make([]storage.NodeID, len(idx))
-	for i, j := range idx {
-		key[i] = row[j]
-	}
-	return rowKey(key)
-}
-
 // compatible implements µ1 ⇋ µ2: agreement on every shared variable bound
-// in both mappings.
-func compatible(l, r *Result, lrow, rrow []storage.NodeID, shared []string) bool {
-	for _, v := range shared {
-		lv := lrow[l.VarIndex(v)]
-		rv := rrow[r.VarIndex(v)]
+// in both mappings (lIdx and rIdx are the shared variables' columns).
+func compatible(lrow, rrow []storage.NodeID, lIdx, rIdx []int) bool {
+	for k, li := range lIdx {
+		lv, rv := lrow[li], rrow[rIdx[k]]
 		if lv != Unbound && rv != Unbound && lv != rv {
 			return false
 		}
@@ -216,11 +178,18 @@ func compatible(l, r *Result, lrow, rrow []storage.NodeID, shared []string) bool
 	return true
 }
 
-func rTargetIndex(outVars []string, v string) int {
-	for i, x := range outVars {
-		if x == v {
-			return i
+// mergeRows fills dst (of the join's output width) with lrow, whose
+// variables are a prefix of the output schema, and the bound values of
+// rrow at their output columns rMap.
+func mergeRows(dst, lrow, rrow []storage.NodeID, rMap []int) []storage.NodeID {
+	for k := range dst {
+		dst[k] = Unbound
+	}
+	copy(dst, lrow)
+	for j, v := range rrow {
+		if v != Unbound {
+			dst[rMap[j]] = v
 		}
 	}
-	return -1
+	return dst
 }

@@ -21,7 +21,6 @@
 package engine
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -63,23 +62,14 @@ func (r *Result) VarIndex(v string) int {
 	return -1
 }
 
-// rowKey builds a canonical byte-string key of a row for set semantics.
-func rowKey(row []storage.NodeID) string {
-	buf := make([]byte, 4*len(row))
-	for i, v := range row {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(v))
-	}
-	return string(buf)
-}
-
-// Dedup removes duplicate mappings in place (set semantics).
+// Dedup removes duplicate mappings in place (set semantics), keeping the
+// first occurrence of each.
 func (r *Result) Dedup() {
-	seen := make(map[string]bool, len(r.Rows))
+	var seen rowSet
+	seen.reset(len(r.Vars))
 	out := r.Rows[:0]
 	for _, row := range r.Rows {
-		k := rowKey(row)
-		if !seen[k] {
-			seen[k] = true
+		if _, added := seen.insert(row); added {
 			out = append(out, row)
 		}
 	}

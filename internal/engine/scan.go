@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"dualsim/internal/sparql"
 	"dualsim/internal/storage"
@@ -86,6 +87,19 @@ func (r resolved) vars() []string {
 		out = append(out, r.oVar)
 	}
 	return out
+}
+
+// cols returns the columns of the pattern's subject and object in a row
+// schema, -1 for a constant — resolved once, so per-row code indexes
+// rows directly.
+func (r resolved) cols(vars []string) (sCol, oCol int) {
+	col := func(v string) int {
+		if v == "" {
+			return -1
+		}
+		return slices.Index(vars, v)
+	}
+	return col(r.sVar), col(r.oVar)
 }
 
 // scan materializes the pattern as a table over its variables.

@@ -180,19 +180,22 @@ func (a *account) release(st *OperatorStats) {
 }
 
 // Buffered-row cost model: a []NodeID row plus slice/bucket overhead,
-// and a seen-set key plus map-entry overhead. Estimates, not exact heap
-// sizes — stable across runs, cheap to maintain, good enough to rank
-// statements and to bound runaway queries.
+// and a seen-set key (its ids in the rowSet arena) plus a fixed
+// per-key overhead. Estimates, not exact heap sizes — stable across
+// runs, cheap to maintain, good enough to rank statements and to bound
+// runaway queries.
 const (
 	rowOverheadBytes = 48
 	keyOverheadBytes = 48
 )
 
+const nodeIDBytes = int64(unsafe.Sizeof(storage.NodeID(0)))
+
 func rowCostBytes(row []storage.NodeID) int64 {
-	return rowOverheadBytes + int64(len(row))*int64(unsafe.Sizeof(storage.NodeID(0)))
+	return rowOverheadBytes + int64(len(row))*nodeIDBytes
 }
 
-func keyCostBytes(k string) int64 { return keyOverheadBytes + int64(len(k)) }
+func keyCostBytes(width int) int64 { return keyOverheadBytes + int64(width)*nodeIDBytes }
 
 // Compile lowers and optimizes q against st and compiles the plan to an
 // iterator tree. The result streams distinct rows (set semantics) and
@@ -587,8 +590,10 @@ type extendIter struct {
 	leftOuter bool
 
 	vars   []string
-	varCol map[string]int
 	inVars int // input schema width (a prefix of vars)
+	// Output columns of the pattern's subject and object, resolved at
+	// compile time; -1 for a constant.
+	sCol, oCol int
 
 	// Cursor over the extensions of the current input row.
 	cur        []storage.NodeID // widened current input row; nil = pull next
@@ -597,6 +602,7 @@ type extendIter struct {
 	sKnown     bool
 	oKnown     bool
 	matched    bool
+	slab       rowSlab
 
 	ctx context.Context
 	n   int
@@ -604,18 +610,9 @@ type extendIter struct {
 
 func newExtendIter(st *storage.Store, in Iterator, r resolved, leftOuter bool) *extendIter {
 	e := &extendIter{st: st, in: in, r: r, leftOuter: leftOuter}
-	e.vars = append(e.vars, in.Vars()...)
-	e.inVars = len(e.vars)
-	e.varCol = make(map[string]int, len(e.vars)+2)
-	for i, v := range e.vars {
-		e.varCol[v] = i
-	}
-	for _, v := range r.vars() {
-		if _, ok := e.varCol[v]; !ok {
-			e.varCol[v] = len(e.vars)
-			e.vars = append(e.vars, v)
-		}
-	}
+	e.vars = unionVars(NewResult(in.Vars()...), NewResult(r.vars()...))
+	e.inVars = len(in.Vars())
+	e.sCol, e.oCol = r.cols(e.vars)
 	return e
 }
 
@@ -628,15 +625,16 @@ func (e *extendIter) Open(ctx context.Context) error {
 	return e.in.Open(ctx)
 }
 
-// emitExt builds an output row extending the current input row with the
-// pattern's subject/object values.
-func (e *extendIter) emitExt(s, o storage.NodeID) []storage.NodeID {
-	nr := append([]storage.NodeID(nil), e.cur...)
-	if e.r.sVar != "" {
-		nr[e.varCol[e.r.sVar]] = s
+// emitExt builds an output row extending row with the pattern's
+// subject/object values.
+func (e *extendIter) emitExt(row []storage.NodeID, s, o storage.NodeID) []storage.NodeID {
+	nr := e.slab.row(len(e.vars))
+	copy(nr, row)
+	if e.sCol >= 0 {
+		nr[e.sCol] = s
 	}
-	if e.r.oVar != "" {
-		nr[e.varCol[e.r.oVar]] = o
+	if e.oCol >= 0 {
+		nr[e.oCol] = o
 	}
 	e.matched = true
 	return nr
@@ -656,8 +654,7 @@ func (e *extendIter) Next() ([]storage.NodeID, bool, error) {
 				row := e.cur
 				e.cur = nil
 				if r.ok && e.st.HasTriple(e.sVal, r.pred, e.oVal) {
-					e.matched = true
-					return e.emitExtKnown(row), true, nil
+					return e.emitExt(row, e.sVal, e.oVal), true, nil
 				}
 				if e.leftOuter {
 					return row, true, nil
@@ -665,10 +662,10 @@ func (e *extendIter) Next() ([]storage.NodeID, bool, error) {
 				continue
 			default:
 				if s, o, ok := e.pairs.Next(); ok {
-					if r.sVar == r.oVar && s != o {
+					if e.sCol == e.oCol && s != o {
 						continue
 					}
-					return e.emitExt(s, o), true, nil
+					return e.emitExt(e.cur, s, o), true, nil
 				}
 			}
 			// Cursor exhausted.
@@ -685,7 +682,7 @@ func (e *extendIter) Next() ([]storage.NodeID, bool, error) {
 			return nil, false, err
 		}
 		// Widen the input row to the output schema.
-		row := make([]storage.NodeID, len(e.vars))
+		row := e.slab.row(len(e.vars))
 		copy(row, in)
 		for i := e.inVars; i < len(row); i++ {
 			row[i] = Unbound
@@ -699,8 +696,8 @@ func (e *extendIter) Next() ([]storage.NodeID, bool, error) {
 		}
 		e.cur = row
 		e.matched = false
-		e.sVal, e.sKnown = constOrBinding(r.sVar, r.sID, row, e.varCol)
-		e.oVal, e.oKnown = constOrBinding(r.oVar, r.oID, row, e.varCol)
+		e.sVal, e.sKnown = known(row, e.sCol, r.sID)
+		e.oVal, e.oKnown = known(row, e.oCol, r.oID)
 		switch {
 		case e.sKnown && e.oKnown:
 		case e.sKnown:
@@ -713,43 +710,54 @@ func (e *extendIter) Next() ([]storage.NodeID, bool, error) {
 	}
 }
 
-// emitExtKnown is emitExt for the both-known case, where e.cur has
-// already been cleared.
-func (e *extendIter) emitExtKnown(row []storage.NodeID) []storage.NodeID {
-	nr := append([]storage.NodeID(nil), row...)
-	if e.r.sVar != "" {
-		nr[e.varCol[e.r.sVar]] = e.sVal
+// slabRows is the number of rows a rowSlab carves from one chunk.
+const slabRows = 64
+
+// emptyRow is the zero-width row: sharing it is safe, since appending to
+// a slice without capacity always reallocates.
+var emptyRow = []storage.NodeID{}
+
+// rowSlab hands out fixed-width rows carved from chunks of slabRows rows,
+// one allocation per chunk instead of one per row. Each row is a full
+// slice expression, so a caller's append can never write into the next
+// row.
+type rowSlab struct{ buf []storage.NodeID }
+
+func (s *rowSlab) row(w int) []storage.NodeID {
+	if w == 0 {
+		return emptyRow
 	}
-	if e.r.oVar != "" {
-		nr[e.varCol[e.r.oVar]] = e.oVal
+	if len(s.buf) < w {
+		s.buf = make([]storage.NodeID, slabRows*w)
 	}
-	return nr
+	r := s.buf[:w:w]
+	s.buf = s.buf[w:]
+	return r
 }
 
 // hashJoinIter is the generic compatibility join: Open drains the right
-// side into hash buckets (rows with unbound shared variables go to a
-// wildcard list), then the left side streams through, probing. With
+// side into a joinIndex (rows with unbound shared variables are its
+// wildcards), then the left side streams through, probing. With
 // leftOuter, unmatched left rows survive padded.
 type hashJoinIter struct {
 	l, r      Iterator
 	leftOuter bool
 
-	vars   []string
-	shared []string
-	lres   *Result // schema carrier for compatible()
-	rres   *Result // drained right side
-
+	vars []string
+	// Column maps resolved at compile time: the shared variables'
+	// columns on either side, and each right column's output column.
 	lIdx, rIdx []int
-	buckets    map[string][]int
-	wildcards  []int
+	rMap       []int
+	rows       [][]storage.NodeID // drained right side
+	index      *joinIndex
+	slab       rowSlab
 
 	// probe state
 	lrow    []storage.NodeID
-	cands   []int
-	ci      int
+	chain   int // next chained right row; -1 when the chain is done
+	ci      int // next wildcard (or, with scanAll, next right row)
 	scanAll bool
 	matched bool
-	pending []storage.NodeID // left-outer padded row to emit
 	n       int
 	ctx     context.Context
 
@@ -763,11 +771,12 @@ func newHashJoinIter(l, r Iterator, leftOuter bool) *hashJoinIter {
 	h := &hashJoinIter{l: l, r: r, leftOuter: leftOuter}
 	lres := NewResult(l.Vars()...)
 	rres := NewResult(r.Vars()...)
-	h.lres, h.rres = lres, rres
-	h.shared = sharedVars(lres, rres)
+	shared := sharedVars(lres, rres)
 	h.vars = unionVars(lres, rres)
-	h.lIdx = varIndexes(lres, h.shared)
-	h.rIdx = varIndexes(rres, h.shared)
+	h.lIdx = varIndexes(lres, shared)
+	h.rIdx = varIndexes(rres, shared)
+	h.rMap = varIndexes(NewResult(h.vars...), rres.Vars)
+	h.index = newJoinIndex(h.rIdx)
 	return h
 }
 
@@ -784,10 +793,8 @@ func (h *hashJoinIter) Close() error {
 func (h *hashJoinIter) Open(ctx context.Context) error {
 	h.ctx = ctx
 	h.lrow = nil
-	h.pending = nil
-	h.rres.Rows = h.rres.Rows[:0]
-	h.buckets = make(map[string][]int)
-	h.wildcards = nil
+	h.rows = h.rows[:0]
+	h.index.reset()
 	if h.acct != nil {
 		h.acct.release(h.stats)
 	}
@@ -805,14 +812,9 @@ func (h *hashJoinIter) Open(ctx context.Context) error {
 		if !ok {
 			break
 		}
-		i := len(h.rres.Rows)
-		h.rres.Rows = append(h.rres.Rows, row)
-		if allBound(row, h.rIdx) {
-			k := keyOf(row, h.rIdx)
-			h.buckets[k] = append(h.buckets[k], i)
-		} else {
-			h.wildcards = append(h.wildcards, i)
-		}
+		i := len(h.rows)
+		h.rows = append(h.rows, row)
+		h.index.add(row)
 		if h.acct != nil {
 			if err := h.acct.charge(h.stats, 1, rowCostBytes(row)); err != nil {
 				return err
@@ -827,67 +829,45 @@ func (h *hashJoinIter) Open(ctx context.Context) error {
 	return nil
 }
 
-// merge builds the output row from a left row and a right row (l's vars
-// are a prefix of the output schema; bound right values win over padding).
-func (h *hashJoinIter) merge(lrow, rrow []storage.NodeID) []storage.NodeID {
-	merged := make([]storage.NodeID, len(h.vars))
-	for k := range merged {
-		merged[k] = Unbound
-	}
-	copy(merged, lrow)
-	for j, v := range rrow {
-		if v == Unbound {
-			continue
+// nextCandidate returns the next right row to test against h.lrow — its
+// key chain, then the wildcards; every right row with scanAll — and
+// whether it is a chained row (which agrees on every shared variable).
+func (h *hashJoinIter) nextCandidate() (rrow []storage.NodeID, chained, ok bool) {
+	switch {
+	case h.scanAll:
+		if h.ci < len(h.rows) {
+			h.ci++
+			return h.rows[h.ci-1], false, true
 		}
-		oj := rTargetIndex(h.vars, h.rres.Vars[j])
-		merged[oj] = v
+	case h.chain >= 0:
+		ri := h.chain
+		h.chain = h.index.next[ri]
+		return h.rows[ri], true, true
+	case h.ci < len(h.index.wildcards):
+		h.ci++
+		return h.rows[h.index.wildcards[h.ci-1]], false, true
 	}
-	return merged
-}
-
-func (h *hashJoinIter) pad(lrow []storage.NodeID) []storage.NodeID {
-	merged := make([]storage.NodeID, len(h.vars))
-	for k := range merged {
-		merged[k] = Unbound
-	}
-	copy(merged, lrow)
-	return merged
+	return nil, false, false
 }
 
 func (h *hashJoinIter) Next() ([]storage.NodeID, bool, error) {
 	for {
-		if h.pending != nil {
-			row := h.pending
-			h.pending = nil
-			return row, true, nil
-		}
 		if h.lrow != nil {
 			for {
-				var ri int
-				if h.scanAll {
-					if h.ci >= len(h.rres.Rows) {
-						break
-					}
-					ri = h.ci
-				} else if h.ci < len(h.cands) {
-					ri = h.cands[h.ci]
-				} else if h.ci < len(h.cands)+len(h.wildcards) {
-					ri = h.wildcards[h.ci-len(h.cands)]
-				} else {
+				rrow, chained, ok := h.nextCandidate()
+				if !ok {
 					break
 				}
-				h.ci++
-				if compatible(h.lres, h.rres, h.lrow, h.rres.Rows[ri], h.shared) {
+				if chained || compatible(h.lrow, rrow, h.lIdx, h.rIdx) {
 					h.matched = true
-					return h.merge(h.lrow, h.rres.Rows[ri]), true, nil
+					return mergeRows(h.slab.row(len(h.vars)), h.lrow, rrow, h.rMap), true, nil
 				}
 			}
-			if h.leftOuter && !h.matched {
-				row := h.pad(h.lrow)
-				h.lrow = nil
-				return row, true, nil
-			}
+			lrow := h.lrow
 			h.lrow = nil
+			if h.leftOuter && !h.matched {
+				return mergeRows(h.slab.row(len(h.vars)), lrow, nil, h.rMap), true, nil
+			}
 		}
 		lrow, ok, err := h.l.Next()
 		if err != nil || !ok {
@@ -901,12 +881,10 @@ func (h *hashJoinIter) Next() ([]storage.NodeID, bool, error) {
 		h.lrow = lrow
 		h.ci = 0
 		h.matched = false
-		if allBound(lrow, h.lIdx) {
-			h.scanAll = false
-			h.cands = h.buckets[keyOf(lrow, h.lIdx)]
-		} else {
-			h.scanAll = true
-			h.cands = nil
+		h.scanAll = !allBound(lrow, h.lIdx)
+		h.chain = -1
+		if !h.scanAll {
+			h.chain = h.index.lookup(lrow, h.lIdx)
 		}
 	}
 }
@@ -951,22 +929,14 @@ type unionIter struct {
 	lMap    []int // output column of each left column
 	rMap    []int
 	onRight bool
+	slab    rowSlab
 }
 
 func newUnionIter(l, r Iterator) *unionIter {
 	lres := NewResult(l.Vars()...)
 	rres := NewResult(r.Vars()...)
-	vars := unionVars(lres, rres)
-	u := &unionIter{l: l, r: r, vars: vars}
-	u.lMap = make([]int, len(lres.Vars))
-	for i, v := range lres.Vars {
-		u.lMap[i] = rTargetIndex(vars, v)
-	}
-	u.rMap = make([]int, len(rres.Vars))
-	for i, v := range rres.Vars {
-		u.rMap[i] = rTargetIndex(vars, v)
-	}
-	return u
+	out := NewResult(unionVars(lres, rres)...)
+	return &unionIter{l: l, r: r, vars: out.Vars, lMap: varIndexes(out, lres.Vars), rMap: varIndexes(out, rres.Vars)}
 }
 
 func (u *unionIter) Vars() []string { return u.vars }
@@ -988,7 +958,7 @@ func (u *unionIter) Close() error {
 }
 
 func (u *unionIter) project(row []storage.NodeID, m []int) []storage.NodeID {
-	out := make([]storage.NodeID, len(u.vars))
+	out := u.slab.row(len(u.vars))
 	for k := range out {
 		out[k] = Unbound
 	}
@@ -1020,7 +990,7 @@ func (u *unionIter) Next() ([]storage.NodeID, bool, error) {
 // a buffering point: every distinct row charges the execution account.
 type distinctIter struct {
 	in    Iterator
-	seen  map[string]bool
+	seen  rowSet
 	acct  *account
 	stats *OperatorStats
 }
@@ -1029,7 +999,7 @@ func (d *distinctIter) Vars() []string { return d.in.Vars() }
 func (d *distinctIter) Close() error   { return d.in.Close() }
 
 func (d *distinctIter) Open(ctx context.Context) error {
-	d.seen = make(map[string]bool)
+	d.seen.reset(len(d.in.Vars()))
 	if d.acct != nil {
 		d.acct.release(d.stats)
 	}
@@ -1042,13 +1012,11 @@ func (d *distinctIter) Next() ([]storage.NodeID, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		k := rowKey(row)
-		if d.seen[k] {
+		if _, added := d.seen.insert(row); !added {
 			continue
 		}
-		d.seen[k] = true
 		if d.acct != nil {
-			if err := d.acct.charge(d.stats, 1, keyCostBytes(k)); err != nil {
+			if err := d.acct.charge(d.stats, 1, keyCostBytes(len(row))); err != nil {
 				return nil, false, err
 			}
 		}
@@ -1065,7 +1033,7 @@ type limitIter struct {
 	in      Iterator
 	limit   int // 0 = unlimited
 	offset  int
-	seen    map[string]bool
+	seen    rowSet
 	skipped int
 	emitted int
 	acct    *account
@@ -1076,7 +1044,7 @@ func (l *limitIter) Vars() []string { return l.in.Vars() }
 func (l *limitIter) Close() error   { return l.in.Close() }
 
 func (l *limitIter) Open(ctx context.Context) error {
-	l.seen = make(map[string]bool)
+	l.seen.reset(len(l.in.Vars()))
 	l.skipped = 0
 	l.emitted = 0
 	if l.acct != nil {
@@ -1094,13 +1062,11 @@ func (l *limitIter) Next() ([]storage.NodeID, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		k := rowKey(row)
-		if l.seen[k] {
+		if _, added := l.seen.insert(row); !added {
 			continue
 		}
-		l.seen[k] = true
 		if l.acct != nil {
-			if err := l.acct.charge(l.stats, 1, keyCostBytes(k)); err != nil {
+			if err := l.acct.charge(l.stats, 1, keyCostBytes(len(row))); err != nil {
 				return nil, false, err
 			}
 		}
